@@ -75,7 +75,6 @@ func New(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("machine: lockstep dispatch requires exactly 1 vCPU, got %d", cfg.NumVCPUs)
 	}
 	m := &Machine{Mem: mem.New(cfg.PhysSize), dispatch: cfg.Dispatch}
-	m.gate.init()
 
 	for i := 0; i < cfg.NumVCPUs; i++ {
 		base := StackRegionBase + uint64(i)*StackSize
@@ -124,7 +123,6 @@ func (m *Machine) Fork() (*Machine, error) {
 		return nil, ErrStopped
 	}
 	child := &Machine{Mem: m.Mem.Fork(), dispatch: m.dispatch}
-	child.gate.init()
 	for i := range m.vcpus {
 		base := StackRegionBase + uint64(i)*StackSize
 		cpu := isa.New(child.Mem, mem.PrivKernel)
@@ -372,8 +370,6 @@ type pauseGate struct {
 	rw     sync.RWMutex
 	paused atomic.Bool
 }
-
-func (g *pauseGate) init() {}
 
 // beginStep opens an instruction execution bracket, parking while the
 // machine is paused.

@@ -9,13 +9,15 @@ import (
 
 // BenchmarkMemAccess measures the memory system under its two real
 // consumers: the raw read/write path through region validation, sharded
-// locking, and the frame store ("stream"), and a patched kernel
+// locking, and the frame store ("stream"), the 8-byte accesses every
+// load, store, push and pop makes ("u64"), and a patched kernel
 // function executing on top of it under each vCPU engine
 // ("workload-under-patch"). The latter pair is the block-dispatch
 // engine's headline number: the same trampoline-patched function, the
 // same virtual steps, decode-switch oracle vs predecoded blocks.
 func BenchmarkMemAccess(b *testing.B) {
 	b.Run("stream", benchStream)
+	b.Run("u64", benchU64)
 	b.Run("workload-under-patch/oracle", func(b *testing.B) { benchWorkloadUnderPatch(b, true) })
 	b.Run("workload-under-patch/blocks", func(b *testing.B) { benchWorkloadUnderPatch(b, false) })
 }
@@ -38,6 +40,27 @@ func benchStream(b *testing.B) {
 		}
 		if err := m.Read(mem.PrivKernel, addr, buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchU64 stores then loads one 8-byte word per iteration, walking a
+// 32 KiB window of one frame: the interpreter's data access, which takes
+// the single-frame fast path and allocates nothing.
+func benchU64(b *testing.B) {
+	m := mem.New(16 << 20)
+	if _, err := m.Map("ram", 0, 1<<20, mem.Perms{Kernel: mem.PermRW}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := uint64(i%4096) * 8
+		if err := m.WriteU64(mem.PrivKernel, addr, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+		if v, err := m.ReadU64(mem.PrivKernel, addr); err != nil || v != uint64(i) {
+			b.Fatalf("ReadU64 = %d, %v; want %d", v, err, i)
 		}
 	}
 }

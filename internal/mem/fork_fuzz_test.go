@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -10,11 +11,26 @@ import (
 // takes random read/write/zero/perm traffic that must match a fresh
 // oracle holding the same initial bytes, and after every sequence the
 // template must diff clean against its pre-fork snapshot — no op on
-// the fork may leak through a shared frame.
+// the fork may leak through a shared frame. ReadU64/WriteU64 decode
+// their address exactly (frame index, then a 16-bit offset), as in
+// FuzzSparseMemAccess, so seeds can aim the fast path at the shared
+// striped frames and at frame edges.
 func FuzzForkMem(f *testing.F) {
 	f.Add([]byte{0x01, 0x00, 0x10, 0x00, 0x20, 0x00})
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09})
 	f.Add(bytes.Repeat([]byte{0x81, 0x42, 0x24, 0x18}, 24))
+	const opDiff, opReadU64, opWriteU64, kernel = 3, 4, 5, 1
+	var seed []byte
+	for _, addr := range []uint64{
+		128, 2*FrameSize + 128 + 504, // inside shared stripes
+		FrameSize - 4, 2*FrameSize - 8, 3*FrameSize - 1, // frame edges, shared and absent
+		12*FrameSize - 4, // off the end of ram
+	} {
+		for _, op := range []byte{opWriteU64, opReadU64, opDiff} {
+			seed = append(seed, op, kernel, byte(addr>>FrameShift), byte(addr>>8), byte(addr), byte(addr>>2))
+		}
+	}
+	f.Add(seed)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		template := New(fuzzPhysSize)
 		if _, err := template.Map("ram", 0, 12*FrameSize, Perms{Kernel: PermRW, User: PermR}); err != nil {
@@ -59,11 +75,14 @@ func FuzzForkMem(f *testing.F) {
 		}
 		for step := 0; len(ops) > 0 && step < 256; step++ {
 			b := take(4)
-			op := b[0] % 4
+			op := b[0] % 6
 			priv := Priv(b[1]%4) + 1
 			addr := (uint64(b[2])<<8 | uint64(b[3])) * 61 % (fuzzPhysSize + FrameSize)
 			lb := take(2)
 			n := (uint64(lb[0])<<8 | uint64(lb[1])) % (FrameSize + 17)
+			if op == opReadU64 || op == opWriteU64 {
+				addr = uint64(b[2]%17)<<FrameShift | uint64(b[3])<<8 | uint64(lb[0])
+			}
 
 			switch op {
 			case 0: // Read on the fork
@@ -119,6 +138,25 @@ func FuzzForkMem(f *testing.F) {
 					if dirty[i] != want[i] {
 						t.Fatalf("step %d: fork dirty %v, oracle %v", step, dirty, want)
 					}
+				}
+			case opReadU64:
+				got, err := child.ReadU64(priv, addr)
+				want := ref.access(priv, Read, addr, 8)
+				if !sameFault(err, want) {
+					t.Fatalf("step %d: fork ReadU64(%v,%#x): got %v want %v", step, priv, addr, err, want)
+				}
+				if err == nil && got != binary.LittleEndian.Uint64(ref.data[addr:]) {
+					t.Fatalf("step %d: fork ReadU64(%v,%#x) = %#x, oracle % x", step, priv, addr, got, ref.data[addr:addr+8])
+				}
+			case opWriteU64:
+				v := uint64(lb[1])<<56 | addr
+				err := child.WriteU64(priv, addr, v)
+				want := ref.access(priv, Write, addr, 8)
+				if !sameFault(err, want) {
+					t.Fatalf("step %d: fork WriteU64(%v,%#x): got %v want %v", step, priv, addr, err, want)
+				}
+				if err == nil {
+					binary.LittleEndian.PutUint64(ref.data[addr:], v)
 				}
 			}
 		}

@@ -202,6 +202,10 @@ func TestForkConcurrentWriters(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				if err := c.WriteU64(PrivKernel, f*FrameSize+16, uint64(i+1)); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(i, c)
 	}
@@ -228,6 +232,9 @@ func TestForkConcurrentWriters(t *testing.T) {
 			}
 			if buf[1] == 0xFF {
 				t.Fatalf("fork %d frame %d: parent's post-fork write visible", i, f)
+			}
+			if v, err := c.ReadU64(PrivKernel, f*FrameSize+16); err != nil || v != uint64(i+1) {
+				t.Fatalf("fork %d frame %d: own WriteU64 lost (%#x, %v)", i, f, v, err)
 			}
 		}
 	}

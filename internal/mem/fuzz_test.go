@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -95,6 +96,23 @@ func (f *refMem) access(priv Priv, kind Access, addr, n uint64) *Fault {
 	return nil
 }
 
+// execSpan reports whether any byte of the mapped span [addr, addr+n)
+// lies in a region some privilege level may execute: exactly the writes
+// that must bump Physical's code epoch.
+func (f *refMem) execSpan(addr, n uint64) bool {
+	for off := addr; off < addr+n; off++ {
+		r := f.find(off)
+		if r == nil {
+			continue
+		}
+		if (r.perms[PrivUser]|r.perms[PrivKernel]|r.perms[PrivEnclave]|r.perms[PrivSMM])&PermX != 0 {
+			return true
+		}
+		off = r.base + r.size - 1
+	}
+	return false
+}
+
 // sameFault compares an error from Physical against the oracle fault.
 func sameFault(err error, want *Fault) bool {
 	if want == nil {
@@ -110,7 +128,8 @@ func sameFault(err error, want *Fault) bool {
 
 // fuzzRegions is the palette of mappings the fuzz interpreter can
 // toggle: overlapping candidates, mixed permissions, a frame-unaligned
-// region, and one butting against the end of physical memory.
+// region with an executable neighbour meeting it inside one frame, and
+// one butting against the end of physical memory.
 var fuzzRegions = []struct {
 	name string
 	base uint64
@@ -123,6 +142,7 @@ var fuzzRegions = []struct {
 	{"wide", 2 * FrameSize, 8 * FrameSize, Perms{Kernel: PermRWX}}, // overlaps ram/text/odd
 	{"tail", fuzzPhysSize - FrameSize/4, FrameSize / 4, Perms{SMM: PermRW}},
 	{"gap", 10 * FrameSize, FrameSize, Perms{Enclave: PermRW}},
+	{"oddx", 6*FrameSize + 0x8123, 0x100, Perms{Kernel: PermRW, SMM: PermRWX}}, // meets "odd" mid-frame
 }
 
 const fuzzPhysSize = 16 * FrameSize // 1 MiB: 16 frames, cheap to diff flat
@@ -130,11 +150,55 @@ const fuzzPhysSize = 16 * FrameSize // 1 MiB: 16 frames, cheap to diff flat
 // FuzzSparseMemAccess feeds random op sequences to the sparse store
 // and the flat oracle and requires byte- and fault-identical behavior,
 // including across Map/Unmap epoch bumps (which must invalidate the
-// fetch RegionCache) and Snapshot/Restore cycles.
+// fetch RegionCache) and Snapshot/Restore cycles. Every successful
+// write, zero and WriteU64 must move the code epoch by exactly one when
+// its span touches executable memory, and not at all otherwise.
+//
+// Each op is six bytes: kind, priv (or palette index), and four bytes
+// of address and length. ReadU64/WriteU64 decode the address exactly —
+// frame index, then a 16-bit offset — so seeds can place them on every
+// offset that crosses a frame boundary and on region edges.
 func FuzzSparseMemAccess(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07})
 	f.Add([]byte{0x13, 0x37, 0xFF, 0x00, 0xAA, 0x55, 0x21, 0x42, 0x63, 0x84, 0xA5, 0xC6})
 	f.Add(bytes.Repeat([]byte{0x2F, 0x90, 0x04, 0x71}, 16))
+	const opMap, opReadU64, opWriteU64 = 4, 8, 9
+	const user, kernel, smm = 0, 1, 3
+	u64 := func(op, priv byte, addr uint64) []byte {
+		return []byte{op, priv, byte(addr >> FrameShift), byte(addr >> 8), byte(addr), byte(addr>>3) ^ op}
+	}
+	mapping := func(idx ...byte) (out []byte) {
+		for _, i := range idx {
+			out = append(out, opMap, i, 0, 0, 0, 0)
+		}
+		return out
+	}
+	// Every offset from FrameSize-8 to FrameSize-1, written then read:
+	// inside one region (ram, text), across a region edge that is also
+	// a frame edge (ram into text), and at the end of physical memory.
+	seed := mapping(0, 1, 2, 4, 6)
+	for off := uint64(FrameSize - 8); off < FrameSize; off++ {
+		for _, a := range []struct {
+			priv byte
+			addr uint64
+		}{{kernel, off}, {kernel, 3*FrameSize + off}, {smm, 3*FrameSize + off}, {smm, 4*FrameSize + off}, {smm, 15*FrameSize + off}} {
+			seed = append(seed, u64(opWriteU64, a.priv, a.addr)...)
+			seed = append(seed, u64(opReadU64, a.priv, a.addr)...)
+		}
+	}
+	f.Add(seed)
+	// Region edges inside one frame: into odd from unmapped memory, from
+	// odd into its executable neighbour, and out of that neighbour.
+	seed = mapping(2, 6)
+	for _, edge := range []uint64{6*FrameSize + 0x123, 6*FrameSize + 0x8123, 6*FrameSize + 0x8223} {
+		for a := edge - 8; a <= edge; a++ {
+			for _, p := range []byte{kernel, smm, user} {
+				seed = append(seed, u64(opWriteU64, p, a)...)
+				seed = append(seed, u64(opReadU64, p, a)...)
+			}
+		}
+	}
+	f.Add(seed)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := New(fuzzPhysSize)
 		ref := newRefMem(fuzzPhysSize)
@@ -149,14 +213,27 @@ func FuzzSparseMemAccess(f *testing.F) {
 			ops = ops[min(len(ops), k):]
 			return out
 		}
+		checkEpoch := func(step int, what string, before uint64, exec bool) {
+			t.Helper()
+			want := before
+			if exec {
+				want++
+			}
+			if got := m.CodeEpoch(); got != want {
+				t.Fatalf("step %d: %s moved the code epoch %d -> %d, want %d", step, what, before, got, want)
+			}
+		}
 
 		for step := 0; len(ops) > 0 && step < 512; step++ {
 			b := take(4)
-			op := b[0] % 8
+			op := b[0] % 10
 			priv := Priv(b[1]%4) + 1
 			addr := (uint64(b[2])<<8 | uint64(b[3])) * 67 % (fuzzPhysSize + FrameSize) // may exceed size
 			lb := take(2)
 			n := (uint64(lb[0])<<8 | uint64(lb[1])) % (FrameSize + 17) // spans ≤ 2 frame boundaries
+			if op == opReadU64 || op == opWriteU64 {
+				addr = uint64(b[2]%17)<<FrameShift | uint64(b[3])<<8 | uint64(lb[0]) // may exceed size
+			}
 
 			switch op {
 			case 0: // Read
@@ -174,6 +251,7 @@ func FuzzSparseMemAccess(f *testing.F) {
 				for i := range src {
 					src[i] += byte(i)
 				}
+				ep := m.CodeEpoch()
 				err := m.Write(priv, addr, src)
 				want := ref.access(priv, Write, addr, n)
 				if !sameFault(err, want) {
@@ -182,6 +260,7 @@ func FuzzSparseMemAccess(f *testing.F) {
 				if err == nil && n > 0 {
 					copy(ref.data[addr:], src)
 				}
+				checkEpoch(step, "write", ep, err == nil && ref.execSpan(addr, n))
 			case 2: // Fetch through the per-CPU cache
 				got := make([]byte, n)
 				err := m.FetchCached(priv, addr, got, &cache)
@@ -193,6 +272,7 @@ func FuzzSparseMemAccess(f *testing.F) {
 					t.Fatalf("step %d: fetch(%v,%#x,%d) bytes diverge", step, priv, addr, n)
 				}
 			case 3: // Zero
+				ep := m.CodeEpoch()
 				err := m.Zero(priv, addr, n)
 				want := ref.access(priv, Write, addr, n)
 				if !sameFault(err, want) {
@@ -201,6 +281,7 @@ func FuzzSparseMemAccess(f *testing.F) {
 				if err == nil && n > 0 {
 					clear(ref.data[addr : addr+n])
 				}
+				checkEpoch(step, "zero", ep, err == nil && ref.execSpan(addr, n))
 			case 4: // Map from the palette
 				spec := fuzzRegions[int(b[1])%len(fuzzRegions)]
 				_, err := m.Map(spec.name, spec.base, spec.size, spec.ps)
@@ -243,6 +324,27 @@ func FuzzSparseMemAccess(f *testing.F) {
 					}
 					copy(ref.data, refSnap)
 				}
+			case opReadU64:
+				got, err := m.ReadU64(priv, addr)
+				want := ref.access(priv, Read, addr, 8)
+				if !sameFault(err, want) {
+					t.Fatalf("step %d: ReadU64(%v,%#x) fault mismatch: got %v want %v", step, priv, addr, err, want)
+				}
+				if err == nil && got != binary.LittleEndian.Uint64(ref.data[addr:]) {
+					t.Fatalf("step %d: ReadU64(%v,%#x) = %#x, oracle % x", step, priv, addr, got, ref.data[addr:addr+8])
+				}
+			case opWriteU64:
+				v := uint64(lb[1])*0x0101_0101_0101_0101 ^ uint64(step)<<8 ^ addr
+				ep := m.CodeEpoch()
+				err := m.WriteU64(priv, addr, v)
+				want := ref.access(priv, Write, addr, 8)
+				if !sameFault(err, want) {
+					t.Fatalf("step %d: WriteU64(%v,%#x) fault mismatch: got %v want %v", step, priv, addr, err, want)
+				}
+				if err == nil {
+					binary.LittleEndian.PutUint64(ref.data[addr:], v)
+				}
+				checkEpoch(step, "WriteU64", ep, err == nil && ref.execSpan(addr, 8))
 			}
 		}
 	})

@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -62,13 +64,12 @@ func shardMask(first, last uint64) uint64 {
 }
 
 // lockMask acquires the shards in mask, in ascending shard order (the
-// global lock order that makes multi-shard holders deadlock-free).
+// global lock order that makes multi-shard holders deadlock-free). It
+// visits only the set bits, so a one-frame access takes one lock
+// without scanning the other 63 shards.
 func (m *Physical) lockMask(mask uint64, write bool) {
-	for i := 0; i < lockShards; i++ {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		if write {
+	for ; mask != 0; mask &= mask - 1 {
+		if i := bits.TrailingZeros64(mask); write {
 			m.shards[i].Lock()
 		} else {
 			m.shards[i].RLock()
@@ -77,11 +78,8 @@ func (m *Physical) lockMask(mask uint64, write bool) {
 }
 
 func (m *Physical) unlockMask(mask uint64, write bool) {
-	for i := 0; i < lockShards; i++ {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		if write {
+	for ; mask != 0; mask &= mask - 1 {
+		if i := bits.TrailingZeros64(mask); write {
 			m.shards[i].Unlock()
 		} else {
 			m.shards[i].RUnlock()
@@ -89,36 +87,44 @@ func (m *Physical) unlockMask(mask uint64, write bool) {
 	}
 }
 
-// frameSpan iterates the frames overlapped by [addr, addr+n) and calls
-// fn with the frame index and the intersection [off, off+len) relative
-// to the frame base, plus the matching slice of buf.
-func frameSpan(addr uint64, buf []byte, fn func(idx, off uint64, part []byte)) {
-	n := uint64(len(buf))
-	for cur := addr; cur < addr+n; {
-		idx := cur >> FrameShift
-		end := (idx + 1) << FrameShift
-		if end > addr+n {
-			end = addr + n
-		}
-		fn(idx, cur-(idx<<FrameShift), buf[cur-addr:end-addr])
-		cur = end
+// shard returns the lock guarding frame idx.
+func (m *Physical) shard(idx uint64) *sync.RWMutex { return &m.shards[idx&(lockShards-1)] }
+
+// writableFrame returns frame idx ready for an in-place write:
+// materialized if absent, cloned first if a snapshot or fork shares it.
+// The caller holds idx's shard write lock.
+func (m *Physical) writableFrame(idx uint64) *frame {
+	fr := m.frames[idx].Load()
+	switch {
+	case fr == nil:
+		fr = new(frame)
+	case fr.shared.Load():
+		cl := new(frame)
+		cl.data = fr.data
+		fr = cl
+	default:
+		return fr
 	}
+	m.frames[idx].Store(fr)
+	return fr
 }
 
 // readFrames copies [addr, addr+len(dst)) into dst. The span must be
-// pre-validated and in bounds.
+// pre-validated and in bounds. The loop takes no closure, so callers'
+// stack buffers stay on the stack.
 func (m *Physical) readFrames(addr uint64, dst []byte) {
-	first := addr >> FrameShift
-	last := (addr + uint64(len(dst)) - 1) >> FrameShift
-	mask := shardMask(first, last)
+	mask := shardMask(addr>>FrameShift, (addr+uint64(len(dst))-1)>>FrameShift)
 	m.lockMask(mask, false)
-	frameSpan(addr, dst, func(idx, off uint64, part []byte) {
-		if fr := m.frames[idx].Load(); fr != nil {
-			copy(part, fr.data[off:])
+	for len(dst) > 0 {
+		off := addr & (FrameSize - 1)
+		k := min(uint64(len(dst)), FrameSize-off)
+		if fr := m.frames[addr>>FrameShift].Load(); fr != nil {
+			copy(dst, fr.data[off:])
 		} else {
-			clear(part)
+			clear(dst[:k])
 		}
-	})
+		dst, addr = dst[k:], addr+k
+	}
 	m.unlockMask(mask, false)
 }
 
@@ -128,24 +134,12 @@ func (m *Physical) readFrames(addr uint64, dst []byte) {
 // multi-frame writes atomic with respect to concurrent readers, like
 // the single-mutex store this replaces.
 func (m *Physical) writeFrames(addr uint64, src []byte) {
-	first := addr >> FrameShift
-	last := (addr + uint64(len(src)) - 1) >> FrameShift
-	mask := shardMask(first, last)
+	mask := shardMask(addr>>FrameShift, (addr+uint64(len(src))-1)>>FrameShift)
 	m.lockMask(mask, true)
-	frameSpan(addr, src, func(idx, off uint64, part []byte) {
-		fr := m.frames[idx].Load()
-		switch {
-		case fr == nil:
-			fr = new(frame)
-			m.frames[idx].Store(fr)
-		case fr.shared.Load():
-			cl := new(frame)
-			cl.data = fr.data
-			fr = cl
-			m.frames[idx].Store(fr)
-		}
-		copy(fr.data[off:], part)
-	})
+	for len(src) > 0 {
+		k := copy(m.writableFrame(addr >> FrameShift).data[addr&(FrameSize-1):], src)
+		src, addr = src[k:], addr+uint64(k)
+	}
 	m.unlockMask(mask, true)
 }
 
@@ -169,15 +163,8 @@ func (m *Physical) zeroFrames(addr, n uint64) {
 		if end > addr+n {
 			end = addr + n
 		}
-		fr := m.frames[idx].Load()
-		if fr != nil {
-			if fr.shared.Load() {
-				cl := new(frame)
-				cl.data = fr.data
-				fr = cl
-				m.frames[idx].Store(fr)
-			}
-			clear(fr.data[cur-base : end-base])
+		if m.frames[idx].Load() != nil {
+			clear(m.writableFrame(idx).data[cur-base : end-base])
 		}
 		cur = end
 	}
@@ -210,7 +197,7 @@ type ResidentStats struct {
 func (m *Physical) ResidentStats() ResidentStats {
 	var st ResidentStats
 	for i := range m.frames {
-		mu := &m.shards[i&(lockShards-1)]
+		mu := m.shard(uint64(i))
 		mu.RLock()
 		fr := m.frames[i].Load()
 		if fr != nil {

@@ -272,6 +272,18 @@ func TestConcurrentDisjointFrames(t *testing.T) {
 					t.Errorf("worker %d round %d: read back %x, want %x", w, i, got[0], want)
 					return
 				}
+				// The 8-byte fast path shares the frames, the shard
+				// locks and the copy-on-write clone with Write.
+				u := base + 2*FrameSize + uint64(i%8)*8
+				v := uint64(w)<<32 | uint64(i)
+				if err := m.WriteU64(PrivKernel, u, v); err != nil {
+					errc <- err
+					return
+				}
+				if got, err := m.ReadU64(PrivKernel, u); err != nil || got != v {
+					t.Errorf("worker %d round %d: ReadU64 = %#x, %v; want %#x", w, i, got, err, v)
+					return
+				}
 			}
 		}(w)
 	}
