@@ -104,6 +104,34 @@ func TestUnmappedAndOutOfBounds(t *testing.T) {
 	}
 }
 
+// A zero-length access touches no byte, so it succeeds wherever it
+// points, past the end of memory included, and changes nothing.
+func TestZeroLengthOutOfBounds(t *testing.T) {
+	m := New(4 * FrameSize)
+	mustMap(t, m, "all", 0, 4*FrameSize, Perms{Kernel: PermRWX})
+	var cache RegionCache
+	epoch := m.CodeEpoch()
+	for _, addr := range []uint64{4 * FrameSize, 0x10C000, ^uint64(0)} {
+		for name, op := range map[string]func() error{
+			"Read":        func() error { return m.Read(PrivKernel, addr, nil) },
+			"Write":       func() error { return m.Write(PrivKernel, addr, []byte{}) },
+			"Zero":        func() error { return m.Zero(PrivKernel, addr, 0) },
+			"Fetch":       func() error { return m.Fetch(PrivKernel, addr, nil) },
+			"FetchCached": func() error { return m.FetchCached(PrivKernel, addr, nil, &cache) },
+		} {
+			if err := op(); err != nil {
+				t.Errorf("%s(%#x, 0 bytes) = %v, want nil", name, addr, err)
+			}
+		}
+	}
+	if ep := m.CodeEpoch(); ep != epoch {
+		t.Errorf("zero-length writes moved the code epoch %d -> %d", epoch, ep)
+	}
+	if rb := m.ResidentBytes(); rb != 0 {
+		t.Errorf("zero-length writes materialised %d bytes", rb)
+	}
+}
+
 func TestSpanningRegions(t *testing.T) {
 	m := newTestMem(t)
 	mustMap(t, m, "a", 0, 4096, Perms{Kernel: PermRW})
